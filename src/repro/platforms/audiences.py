@@ -23,6 +23,7 @@ with attribute targeting via the normal boolean grammar.
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,6 +34,7 @@ from repro.platforms.errors import TargetingError
 from repro.population.bitsets import BitVector
 from repro.population.demographics import AGE_RANGES, GENDERS
 from repro.population.generator import Population
+from repro.population.model import sigmoid
 from repro.population.pii import PiiDirectory, PiiRecord
 
 __all__ = [
@@ -85,7 +87,7 @@ class TrackingPixel:
         for attr_id, boost in self.attribute_boosts.items():
             members = population.index.attribute(attr_id).to_bool()
             logits += boost * members
-        return 1.0 / (1.0 + np.exp(-logits))
+        return sigmoid(logits)
 
 
 class AudienceService:
@@ -182,7 +184,7 @@ class AudienceService:
         """Simulate site visitors and build a retargeting audience."""
         probs = pixel.visit_probabilities(self.population)
         rng = np.random.default_rng(
-            np.random.SeedSequence([seed, hash(pixel.pixel_id) & 0x7FFFFFFF])
+            np.random.SeedSequence([seed, zlib.crc32(pixel.pixel_id.encode())])
         )
         visitors = rng.random(self.population.n_records) < probs
         audience = CustomAudience(

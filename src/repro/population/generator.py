@@ -7,16 +7,26 @@ memberships.  Each record represents ``scale`` real users so the
 platforms report audience sizes in the (hundreds-of-millions) ranges the
 paper works with while simulation stays laptop-sized.
 
-Attribute realisation is chunk-free and per-attribute: for each
+Attribute realisation is per-attribute: for each
 :class:`~repro.population.model.AttributeSpec` we evaluate the logistic
-model over all users, draw Bernoulli memberships, and pack them into a
-bit vector.  Memory stays at one float array per attribute.
+model over all users (:meth:`LatentFactorModel.spec_logits` and
+:func:`~repro.population.model.sigmoid`), draw Bernoulli memberships
+from the attribute's own ``(seed, crc32(attr_id))`` stream, and pack
+them into a bit vector.  Memory stays at a few float arrays per
+attribute plus two derived arrays per population (the gender-by-age
+cell codes and a contiguous ``latents.T``), built on first use so
+populations rehydrated from shared memory get them too.  The kernel
+only uses rewrites that are exact in IEEE arithmetic, and it does not
+batch attributes into one matrix product, whose different summation
+order would change last-ulp logits; memberships are therefore
+bit-identical to the direct formula (DESIGN.md section 6).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +39,12 @@ from repro.population.demographics import (
     DemographicMarginals,
     Gender,
 )
-from repro.population.model import AttributeSpec, LatentFactorModel
+from repro.population.model import (
+    AttributeSpec,
+    LatentFactorModel,
+    demographic_cells,
+    sigmoid,
+)
 
 __all__ = ["Population", "PopulationGenerator"]
 
@@ -84,6 +99,16 @@ class Population:
         """Real-user size of one sensitive population (``|RA_s|``)."""
         return self.users(self.index.demographic(value))
 
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """Gender-by-age cell code per record, built on first use."""
+        return demographic_cells(self.gender_codes, self.age_codes)
+
+    @cached_property
+    def _latents_t(self) -> np.ndarray:
+        """Contiguous ``latents.T``, built on first use."""
+        return np.ascontiguousarray(self.latents.T)
+
     def realise_attribute(self, spec: AttributeSpec) -> BitVector:
         """Sample membership for one attribute and register it.
 
@@ -93,13 +118,13 @@ class Population:
         """
         if spec.attr_id in self.index:
             return self.index.attribute(spec.attr_id)
-        probs = self.model.membership_probabilities(
-            spec, self.gender_codes, self.age_codes, self.latents
+        logits = self.model.spec_logits(
+            spec, self._cells, self.latents, self._latents_t
         )
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, zlib.crc32(spec.attr_id.encode())])
         )
-        members = rng.random(self.n_records) < probs
+        members = rng.random(self.n_records) < sigmoid(logits)
         vector = BitVector.from_bool(members)
         self.index.add_attribute(spec.attr_id, vector)
         return vector

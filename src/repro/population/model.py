@@ -37,9 +37,15 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.population.demographics import AGE_RANGES, AgeRange, Gender
+from repro.population.demographics import AGE_RANGES, GENDERS, AgeRange, Gender
 
-__all__ = ["AttributeSpec", "LatentFactorModel", "GENDER_CONTRAST"]
+__all__ = [
+    "AttributeSpec",
+    "LatentFactorModel",
+    "GENDER_CONTRAST",
+    "demographic_cells",
+    "sigmoid",
+]
 
 #: Symmetric gender contrast codes: male -> +1/2, female -> -1/2, so the
 #: male:female log-odds gap of an attribute equals ``beta_gender``.
@@ -93,19 +99,42 @@ class AttributeSpec:
         """Dense loading vector of length ``n_factors``."""
         vec = np.zeros(n_factors)
         for k, w in self.loadings.items():
-            if not 0 <= k < n_factors:
-                raise IndexError(f"factor index {k} out of range for K={n_factors}")
+            _check_factor(k, n_factors)
             vec[k] = w
         return vec
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _check_factor(k: int, n_factors: int) -> None:
+    if not 0 <= k < n_factors:
+        raise IndexError(f"factor index {k} out of range for K={n_factors}")
+
+
+#: Gender contrast indexed by :class:`Gender` code.
+_CONTRAST_BY_CODE = np.array([GENDER_CONTRAST[g] for g in GENDERS])
+
+
+def demographic_cells(gender_codes: np.ndarray, age_codes: np.ndarray) -> np.ndarray:
+    """Per-user gender-by-age cell code, ``gender * 4 + age``."""
+    cells = np.asarray(gender_codes, dtype=np.intp) * len(AGE_RANGES)
+    cells += np.asarray(age_codes, dtype=np.intp)
+    return cells
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free, branch-free logistic function.
+
+    With ``e = exp(-|x|)`` the stable textbook branches,
+    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    below, are ``1 / (1 + e)`` and ``e / (1 + e)`` with the very same
+    operands, so selecting the numerator is exact on every input.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 @dataclass(frozen=True)
@@ -167,6 +196,34 @@ class LatentFactorModel:
 
     # -- evaluation --------------------------------------------------------
 
+    def spec_logits(
+        self,
+        spec: AttributeSpec,
+        cells: np.ndarray,
+        latents: np.ndarray,
+        latents_t: np.ndarray,
+    ) -> np.ndarray:
+        """Per-user membership log-odds for one attribute.
+
+        ``cells`` are :func:`demographic_cells` codes and ``latents_t``
+        is ``latents.T`` (contiguous for speed).  The demographic term
+        ``(b + beta_g * x_g) + beta_age[age]`` takes one value per
+        cell, so it is evaluated once per cell and gathered.  A single
+        loading ``{k: w}`` adds ``latents_t[k] * w``, which equals
+        ``latents @ lambda`` bit for bit because every other product is
+        an exact zero; denser loadings use the matrix-vector product.
+        """
+        per_gender = spec.base_logit + spec.beta_gender * _CONTRAST_BY_CODE
+        table = np.add.outer(per_gender, np.asarray(spec.beta_age, dtype=np.float64))
+        logits = table.ravel()[cells]
+        if len(spec.loadings) == 1:
+            ((k, w),) = spec.loadings.items()
+            _check_factor(k, self.n_factors)
+            logits += latents_t[k] * w
+        elif spec.loadings:
+            logits += latents @ spec.loading_vector(self.n_factors)
+        return logits
+
     def membership_logits(
         self,
         spec: AttributeSpec,
@@ -175,19 +232,8 @@ class LatentFactorModel:
         latents: np.ndarray,
     ) -> np.ndarray:
         """Per-user membership log-odds for one attribute."""
-        g = np.where(
-            np.asarray(gender_codes) == int(Gender.MALE),
-            GENDER_CONTRAST[Gender.MALE],
-            GENDER_CONTRAST[Gender.FEMALE],
-        )
-        logits = np.full(g.shape, spec.base_logit, dtype=np.float64)
-        logits += spec.beta_gender * g
-        beta_age = np.asarray(spec.beta_age)
-        logits += beta_age[np.asarray(age_codes, dtype=np.intp)]
-        if spec.loadings:
-            lam = spec.loading_vector(self.n_factors)
-            logits += latents @ lam
-        return logits
+        cells = demographic_cells(gender_codes, age_codes)
+        return self.spec_logits(spec, cells, latents, latents.T)
 
     def membership_probabilities(
         self,
@@ -197,7 +243,7 @@ class LatentFactorModel:
         latents: np.ndarray,
     ) -> np.ndarray:
         """Per-user Bernoulli membership probabilities for one attribute."""
-        return _sigmoid(
+        return sigmoid(
             self.membership_logits(spec, gender_codes, age_codes, latents)
         )
 

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.experiments import ext_lookalike, ext_mitigation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +78,29 @@ class TestRunnerIncludesExtensions:
 
         assert "ext_lookalike" in EXPERIMENTS
         assert "ext_mitigation" in EXPERIMENTS
+
+
+def _run_ext_lookalike(hash_seed: str) -> str:
+    """Rendered ``--scale tiny`` ext_lookalike output, wall times removed."""
+    pythonpath = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner",
+         "--scale", "tiny", "--only", "ext_lookalike"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    text = re.sub(r" \(\d+\.\ds\) ==$", " ==", result.stdout, flags=re.M)
+    return re.sub(r"^Total wall time: .*$", "", text, flags=re.M)
+
+
+class TestCrossProcessDeterminism:
+    def test_ext_lookalike_independent_of_hash_seed(self):
+        """String hashing is salted per process; no draw may depend on it."""
+        first = _run_ext_lookalike("0")
+        assert "special ad audience" in first
+        assert _run_ext_lookalike("1") == first
