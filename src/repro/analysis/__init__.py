@@ -4,7 +4,8 @@ A pluggable static-analysis framework guarding the conventions the
 reproduction's guarantees rest on.  Per-module rule families:
 
 * ``determinism/*`` -- no wall-clock reads, no unseeded randomness,
-  no iteration over hash/OS-ordered collections without ``sorted``;
+  no iteration over hash/OS-ordered collections without ``sorted``,
+  no builtin ``hash()`` outside ``__hash__``;
 * ``layering/*`` -- the package import DAG ``population -> platforms
   -> api -> core -> reporting/experiments`` stays one-directional;
 * ``errors/*`` -- no broad excepts, no ``print`` in library code;

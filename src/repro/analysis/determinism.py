@@ -1,8 +1,9 @@
-"""Determinism rules: wall clocks, unseeded RNGs, unordered iteration.
+"""Determinism rules: wall clocks, unseeded RNGs, unordered iteration,
+builtin ``hash()``.
 
 The reproduction's guarantees are stated in terms of bit-identical
 audit records: the same seed must yield the same figures whether the
-run was batched, chaos-injected, or resumed from a checkpoint.  Three
+run was batched, chaos-injected, or resumed from a checkpoint.  Four
 classes of construct silently break that:
 
 * reading the wall clock (all simulated time flows through the
@@ -12,12 +13,17 @@ classes of construct silently break that:
   ``uuid.uuid4``);
 * iterating a hash-ordered collection (``set``/``frozenset``) or an
   OS-ordered listing (``os.listdir``) so the order can leak into
-  serialized output.
+  serialized output;
+* calling the builtin ``hash()`` outside a ``__hash__`` body: string
+  hashes are salted per process, so a value derived from one (a seed,
+  a shard, an ordering) differs between runs.  Seeds derive from
+  ``zlib.crc32`` instead.
 """
 
 from __future__ import annotations
 
 import ast
+import weakref
 from typing import Iterator
 
 from repro.analysis.core import Finding, ModuleContext, rule
@@ -92,10 +98,20 @@ _SEED_REQUIRED = frozenset({"numpy.random.default_rng", "numpy.random.RandomStat
 _ENTROPY_SOURCES = frozenset({"os.urandom", "uuid.uuid4"})
 
 
-def _calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
+#: Call nodes per parsed module.  Three rules scan the same calls, so
+#: each tree is walked once.
+_CALLS: weakref.WeakKeyDictionary[ast.Module, list[ast.Call]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _calls(tree: ast.Module) -> list[ast.Call]:
+    calls = _CALLS.get(tree)
+    if calls is None:
+        calls = _CALLS[tree] = [
+            node for node in ast.walk(tree) if isinstance(node, ast.Call)
+        ]
+    return calls
 
 
 @rule(
@@ -303,3 +319,39 @@ def check_unordered_iteration(ctx: ModuleContext) -> Iterator[Finding]:
     visitor = _UnorderedIteration(ctx)
     visitor.visit(ctx.tree)
     yield from visitor.findings
+
+
+# -- builtin hash ---------------------------------------------------------
+
+
+@rule(
+    "determinism/builtin-hash",
+    "no builtin hash() outside __hash__ (string hashes vary per process)",
+)
+def check_builtin_hash(ctx: ModuleContext) -> Iterator[Finding]:
+    if "hash" in ctx.bindings:
+        return
+    calls = [
+        call
+        for call in _calls(ctx.tree)
+        if isinstance(call.func, ast.Name) and call.func.id == "hash"
+    ]
+    if not calls:
+        return
+    # Everything inside a __hash__ body, nested functions included.
+    allowed = {
+        id(node)
+        for function in ast.walk(ctx.tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and function.name == "__hash__"
+        for node in ast.walk(function)
+    }
+    for call in calls:
+        if id(call) not in allowed:
+            yield ctx.finding(
+                "determinism/builtin-hash",
+                call,
+                "builtin hash() is salted per process for strings; derive "
+                "seeds and keys with zlib.crc32 (hash() belongs only in "
+                "__hash__)",
+            )

@@ -27,6 +27,7 @@ CLI usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from dataclasses import dataclass, field
@@ -221,11 +222,18 @@ def run_all(
             )
 
     report = RunReport(config=ctx.config)
+    # The audit heap is acyclic, so full collections over the caches
+    # earlier experiments built reclaim nothing: freeze it at every
+    # experiment boundary (DESIGN.md section 6).  A caller that froze
+    # objects itself keeps its frozen set untouched.
+    freeze = gc.get_freeze_count() == 0
     try:
         for name in names:
             title, runner = EXPERIMENTS[name]
             if verbose:
                 print(f"running {name}: {title} ...", file=sys.stderr, flush=True)
+            if freeze:
+                gc.freeze()
             started = time.perf_counter()
             with tracer.span(f"experiment.{name}"), metrics.scope(
                 experiment=name
@@ -235,10 +243,18 @@ def run_all(
     finally:
         # Persist whatever completed, even when an experiment raised --
         # that is the whole point of the checkpoint.
-        if store is not None and store.path is not None:
-            store.save()
-            if tracer.enabled:
-                tracer.event("checkpoint.save", entries=len(store))
+        try:
+            if store is not None and store.path is not None:
+                saved = store.save()
+                if tracer.enabled:
+                    tracer.event(
+                        "checkpoint.save",
+                        entries=len(store),
+                        bytes=saved.stat().st_size,
+                    )
+        finally:
+            if freeze:
+                gc.unfreeze()
     report.total_api_requests = ctx.session.total_api_requests()
     report.total_wall = time.perf_counter() - started_wall
     return report

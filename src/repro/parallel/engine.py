@@ -243,9 +243,11 @@ def run_parallel(
     # Persist whatever completed before surfacing any failure -- the
     # sequential runner's ``finally: store.save()`` contract.
     if store is not None and store.path is not None:
-        store.save()
+        saved = store.save()
         if tracer.enabled:
-            tracer.event("checkpoint.save", entries=len(store))
+            tracer.event(
+                "checkpoint.save", entries=len(store), bytes=saved.stat().st_size
+            )
     if error is not None:
         raise error
     for group, exc in failures.items():

@@ -278,6 +278,72 @@ def test_unordered_iteration_file_suppression():
     assert len(suppressed) == 2
 
 
+# -- determinism/builtin-hash --------------------------------------------
+
+
+def test_builtin_hash_positive():
+    findings, _ = lint(
+        """
+        import numpy as np
+
+        def pixel_rng(pixel_id):
+            return np.random.default_rng(hash(pixel_id))
+
+        class Shard:
+            def key(self, name):
+                return hash(name) % 8
+
+        seed = hash("module-level")
+        """
+    )
+    assert rule_ids(findings) == ["determinism/builtin-hash"] * 3
+
+
+def test_builtin_hash_inside_dunder_hash_is_fine():
+    findings, _ = lint(
+        """
+        import zlib
+
+        class Clause:
+            def __hash__(self):
+                return hash(self.options)
+
+        class Spec:
+            def __hash__(self):
+                def fields():
+                    return (self.country, self.clauses)
+                return hash(fields())
+
+        def seed_of(pixel_id):
+            return zlib.crc32(pixel_id.encode())
+        """
+    )
+    assert findings == []
+
+
+def test_builtin_hash_imported_name_is_not_the_builtin():
+    findings, _ = lint(
+        """
+        from hashlib import sha256 as hash
+
+        def digest(data):
+            return hash(data).hexdigest()
+        """
+    )
+    assert findings == []
+
+
+def test_builtin_hash_suppressed_inline():
+    findings, suppressed = lint(
+        """
+        def bucket(name):
+            return hash(name) % 4  # repro-lint: disable=determinism/builtin-hash
+        """
+    )
+    assert findings == []
+    assert rule_ids(suppressed) == ["determinism/builtin-hash"]
+
+
 # -- layering ------------------------------------------------------------
 
 

@@ -11,6 +11,8 @@ no-duplicate-query accounting.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import build_audit_session
@@ -24,13 +26,12 @@ from repro.api import (
     mount_suite_routes,
 )
 from repro.core import EstimateCheckpoint, build_audit_targets
-from repro.core.checkpoint import spec_from_wire, spec_to_wire
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import run_all
 from repro.platforms.errors import ApiError, PlatformError
 from repro.platforms.targeting import TargetingSpec
-from repro.population.demographics import SENSITIVE_ATTRIBUTES
+from repro.population.demographics import SENSITIVE_ATTRIBUTES, AgeRange, Gender
 
 pytestmark = pytest.mark.chaos
 
@@ -200,17 +201,87 @@ class TestPartialBatchRetry:
         assert [seen[i] for i in range(len(specs))] == results
 
 
+def _round_trip(store: EstimateCheckpoint, path) -> EstimateCheckpoint:
+    store.save(path)
+    return EstimateCheckpoint(path)
+
+
+def _ordered(store: EstimateCheckpoint) -> list:
+    """Every shard, in order, as its ordered ``(spec, estimate)`` list."""
+    return [(key, list(store.shard(key).items())) for key in store._shards]
+
+
 class TestCheckpoint:
-    def test_spec_wire_round_trip(self, session_small):
+    def test_spec_wire_round_trip(self, tmp_path, session_small):
         _, clients, _ = _build_stack(session_small.suite)
         ids = [o.option_id for o in clients["facebook"].catalog()][:4]
+        pair = TargetingSpec.of(*ids[:2])
         specs = [
             TargetingSpec.everyone(),
-            TargetingSpec.of(*ids[:2]),
+            pair,
             TargetingSpec(clauses=(), exclusions=frozenset(ids[2:])),
+            pair.with_gender(Gender.FEMALE),
+            TargetingSpec(
+                age_ranges=frozenset({AgeRange.AGE_25_34, AgeRange.AGE_55_PLUS}),
+                clauses=pair.clauses,
+                exclusions=frozenset(ids[3:]),
+            ),
         ]
-        for spec in specs:
-            assert spec_from_wire(spec_to_wire(spec)) == spec
+        store = EstimateCheckpoint()
+        for estimate, spec in enumerate(specs):
+            store.record("facebook", spec, estimate)
+        loaded = _round_trip(store, tmp_path / "specs.ckpt.json")
+        assert list(loaded.shard("facebook").items()) == [
+            (spec, estimate) for estimate, spec in enumerate(specs)
+        ]
+        # Specs that share a rule share its decoded clauses again.
+        loaded_specs = list(loaded.shard("facebook"))
+        assert loaded_specs[3].clauses is loaded_specs[1].clauses
+
+    def test_tiny_run_store_round_trips_exactly(self, tmp_path):
+        config = ExperimentConfig.tiny().with_records(4_000)
+        session = build_audit_session(n_records=config.n_records, seed=config.seed)
+        store = EstimateCheckpoint()
+        run_all(
+            only=["fig1", "methodology"],
+            context=ExperimentContext(config, session=session),
+            checkpoint=store,
+        )
+        path = tmp_path / "tiny.ckpt.json"
+        loaded = _round_trip(store, path)
+        assert len(loaded) == len(store) > 0
+        assert loaded.records_loaded == len(store)
+        assert _ordered(loaded) == _ordered(store)
+        # The file is canonical: re-saving the loaded store is a no-op.
+        again = tmp_path / "again.ckpt.json"
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_version_1_file_is_rejected(self, tmp_path):
+        path = tmp_path / "v1.ckpt.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "interfaces": {
+                        "facebook": [
+                            [
+                                {
+                                    "country": "US",
+                                    "genders": None,
+                                    "ages": None,
+                                    "clauses": [["fb:interests:x"]],
+                                    "exclusions": [],
+                                },
+                                1000,
+                            ]
+                        ]
+                    },
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            EstimateCheckpoint(path)
 
     def test_save_load_round_trip(self, tmp_path, session_small):
         _, clients, _ = _build_stack(session_small.suite)

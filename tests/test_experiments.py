@@ -7,6 +7,7 @@ absolute numbers.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from repro.experiments import (
     table1_overlap,
     tables23_examples,
 )
+from repro.core import EstimateCheckpoint
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.population.demographics import AgeRange, Gender
 
@@ -259,3 +261,47 @@ class TestRunner:
     def test_unknown_experiment_rejected(self, ctx):
         with pytest.raises(KeyError):
             run_all(only=["fig99"], context=ctx)
+
+
+def _gc_state() -> tuple[int, bool]:
+    return gc.get_freeze_count(), gc.isenabled()
+
+
+class TestRunnerGarbageCollector:
+    """``run_all`` freezes the heap per experiment and undoes it."""
+
+    def test_run_leaves_gc_as_found(self, ctx):
+        before = _gc_state()
+        run_all(only=["fig1", "table1"], context=ctx)
+        assert _gc_state() == before
+
+    def test_caller_frozen_objects_stay_frozen(self, ctx):
+        gc.freeze()
+        try:
+            before = _gc_state()
+            assert before[0] > 0
+            run_all(only=["fig1"], context=ctx)
+            assert _gc_state() == before
+        finally:
+            gc.unfreeze()
+
+    def test_raising_experiment_restores_gc_and_saves_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        frozen_during = []
+
+        def explode(_ctx):
+            frozen_during.append(gc.get_freeze_count())
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setitem(EXPERIMENTS, "fig2", ("exploding fig2", explode))
+        fresh = ExperimentContext(ExperimentConfig.tiny().with_records(4_000))
+        path = tmp_path / "run.ckpt.json"
+        before = _gc_state()
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            run_all(only=["fig1", "fig2"], context=fresh, checkpoint=path)
+        assert _gc_state() == before
+        # The experiment ran over a frozen heap.
+        assert frozen_during[0] > 0
+        # fig1's estimates were saved although fig2 raised.
+        assert len(EstimateCheckpoint(path)) > 0

@@ -80,10 +80,12 @@ def test_cli_exits_zero_on_clean_tree(capsys):
 
 
 def test_cli_fails_on_seeded_violation(tmp_path, capsys):
-    """A wall-clock read injected into a core-like module fails the CLI."""
+    """A wall-clock read or a seed drawn from the builtin hash() injected
+    into a core-like module fails the CLI."""
     victim = tmp_path / "audit.py"
     victim.write_text(
-        "import time\n\n\ndef stamp():\n    return time.time()\n",
+        "import time\n\n\ndef stamp():\n    return time.time()\n"
+        "\n\ndef seed_of(pixel_id):\n    return hash(pixel_id)\n",
         encoding="utf-8",
     )
     code = main([str(victim), "--no-baseline", "--no-cache"])
@@ -91,6 +93,8 @@ def test_cli_fails_on_seeded_violation(tmp_path, capsys):
     assert code == 1
     assert "determinism/wall-clock" in out
     assert "audit.py:5" in out
+    assert "determinism/builtin-hash" in out
+    assert "audit.py:9" in out
 
 
 def _write_module(root: Path, rel: str, source: str) -> Path:
