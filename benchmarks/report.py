@@ -6,7 +6,7 @@ the per-query sequential path, batched through a calm
 :class:`~repro.api.chaos.ChaosTransport` with circuit breakers (the
 "resilient" mode, measuring what the resilience layer costs when no
 faults fire), and through the multi-process parallel engine
-(``--jobs``-style sharding over shared-memory populations) -- and
+(``--jobs``-style sharding, each worker building its own platform) -- and
 writes ``BENCH_audit.json`` at the repository root recording, per
 experiment and mode:
 
@@ -201,36 +201,25 @@ def _paired_obs_overhead(run, records: int, rounds: int) -> float:
 def _run_parallel_mode(name: str, records: int, rounds: int) -> dict:
     """Best-of-``rounds`` wall time through the multi-process engine.
 
-    Timed end-to-end (parent session build, shared-memory export,
-    worker pool, canonical merge) -- unlike the in-process modes,
-    whose timers start after session construction -- because that
-    overhead is exactly what the parallel engine trades against shard
-    concurrency.  Also asserts the run left no shared-memory blocks
-    behind.
+    Timed end-to-end (worker pool, per-worker platform build from the
+    seed, canonical merge) -- unlike the in-process modes, whose
+    timers start after session construction -- because that overhead
+    is exactly what the parallel engine trades against shard
+    concurrency.
     """
     best_wall = None
-    stats = None
-    shm_dir = Path("/dev/shm")
     for _ in range(rounds):
         config = ExperimentConfig.small().with_records(records)
-        before = (
-            {p.name for p in shm_dir.glob("psm_*")} if shm_dir.is_dir() else set()
-        )
         start = time.perf_counter()
         run = run_parallel(config, [_REGISTRY_NAMES[name]], jobs=PARALLEL_JOBS)
         wall = time.perf_counter() - start
-        if shm_dir.is_dir():
-            leaked = {p.name for p in shm_dir.glob("psm_*")} - before
-            if leaked:
-                raise RuntimeError(f"parallel run leaked shm blocks: {leaked}")
         if best_wall is None or wall < best_wall:
             best_wall = wall
-        stats = _session_stats(run.context)
     return {
         "wall_seconds": round(best_wall, 3),
         "jobs": PARALLEL_JOBS,
         "shard_groups": len(run.shards),
-        **stats,
+        "http_requests": run.total_api_requests,
     }
 
 
@@ -276,12 +265,12 @@ def build_report(
             "wall_seconds is the best of the cold rounds; batched, "
             "sequential, resilient (calm chaos transport + circuit "
             "breakers), observed (live tracer + metrics registry), and "
-            "parallel (multi-process shared-memory engine) modes yield "
+            "parallel (multi-process engine) modes yield "
             "bit-identical audit records"
         ),
         "parallel_note": (
-            "parallel wall times are end-to-end (session build, "
-            "shared-memory export, worker pool, merge); speedup over "
+            "parallel wall times are end-to-end (worker pool, per-worker "
+            "platform build, merge); speedup over "
             "batched requires free CPU cores -- on a 1-CPU host the "
             "pool overhead makes it a slowdown, recorded honestly"
         ),

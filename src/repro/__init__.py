@@ -28,6 +28,7 @@ Quickstart::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.api import (
     FAULT_PROFILES,
@@ -41,6 +42,7 @@ from repro.api import (
 from repro.api.client import ReachClient
 from repro.core import AuditTarget, build_audit_targets
 from repro.platforms import (
+    PLATFORMS,
     PlatformSuite,
     RoundingPolicy,
     TargetingSpec,
@@ -69,6 +71,7 @@ __all__ = [
     "GENDERS",
     "Gender",
     "LatentFactorModel",
+    "PLATFORMS",
     "PlatformSuite",
     "SENSITIVE_ATTRIBUTES",
     "SensitiveAttribute",
@@ -98,8 +101,8 @@ class AuditSession:
 
     @property
     def target_order(self) -> list[str]:
-        """Interface keys in the paper's presentation order."""
-        return ["facebook_restricted", "facebook", "google", "linkedin"]
+        """Built interface keys in the paper's presentation order."""
+        return list(self.targets)
 
     @property
     def tracer(self):
@@ -124,7 +127,7 @@ def build_audit_session(
     rate_limit: float | None = None,
     chaos: FaultProfile | str | None = None,
     chaos_seed: int = 1031,
-    populations: dict | None = None,
+    platforms: Iterable[str] = PLATFORMS,
     tracer=None,
     metrics=None,
 ) -> AuditSession:
@@ -156,11 +159,12 @@ def build_audit_session(
     chaos_seed:
         Seed of the fault sequence; the same seed replays the same
         faults.
-    populations:
-        Optional pre-realised populations by platform name, forwarded
-        to :func:`repro.platforms.build_platform_suite` -- the parallel
-        engine's workers rehydrate populations from shared memory and
-        build their sessions through this without regenerating them.
+    platforms:
+        The platforms to build (default: all of :data:`PLATFORMS`,
+        eagerly).  Only their routes, clients and audit targets exist
+        in the session; a parallel worker builds just its shard
+        group's platform, and ``run_all`` just the platforms its
+        experiments use.
     tracer / metrics:
         Observability sinks (see :mod:`repro.obs`), injected into the
         transport -- the single point from which clients, breakers, and
@@ -172,7 +176,7 @@ def build_audit_session(
         seed=seed,
         model=model,
         rounding=rounding,
-        populations=populations,
+        platforms=platforms,
     )
     transport: FakeTransport | ChaosTransport = FakeTransport(
         clock=VirtualClock(), rate=rate_limit, tracer=tracer, metrics=metrics
@@ -181,7 +185,12 @@ def build_audit_session(
     if chaos is not None:
         profile = FAULT_PROFILES[chaos] if isinstance(chaos, str) else chaos
         transport = ChaosTransport(transport, profile, seed=chaos_seed)
-    clients = build_clients(transport)
+    built = suite.interfaces
+    clients = {
+        key: client
+        for key, client in build_clients(transport).items()
+        if key in built
+    }
     targets = build_audit_targets(clients)
     return AuditSession(
         suite=suite, transport=transport, clients=clients, targets=targets

@@ -7,13 +7,13 @@ promise, and each gets a rule:
 * **module-level mutable state in the parallel package** -- workers
   import the same modules in separate processes, so mutable module
   globals silently fork into per-process copies that diverge (a
-  counter used for shared-memory block names, a cache of results).
+  counter used for naming per-run resources, a cache of results).
   Module-level containers in ``repro.parallel`` must be immutable:
   tuples, frozensets, or ``MappingProxyType``-wrapped mappings.
 * **direct multiprocessing outside the parallel package** -- process
-  management, shared-memory lifecycles, and the resource-tracker
-  workarounds live behind ``repro.parallel``; a second ad-hoc pool
-  elsewhere would duplicate none of those invariants.
+  management, canonical-order merging and checkpoint-before-raise
+  failure handling live behind ``repro.parallel``; a second ad-hoc
+  pool elsewhere would duplicate none of those invariants.
 * **fixed-seed RNGs in worker-reachable code** -- a worker that seeds
   an RNG with a bare literal gives every shard the same stream (or,
   unseeded, a different stream every run); worker entropy must derive
@@ -131,7 +131,7 @@ def check_module_state(ctx: ModuleContext) -> Iterator[Finding]:
 
 @rule(
     "parallel/direct-multiprocessing",
-    "process pools and shared memory are repro.parallel's job; no "
+    "process pools are repro.parallel's job; no "
     "multiprocessing/concurrent.futures imports elsewhere in repro",
 )
 def check_direct_multiprocessing(ctx: ModuleContext) -> Iterator[Finding]:
@@ -145,9 +145,9 @@ def check_direct_multiprocessing(ctx: ModuleContext) -> Iterator[Finding]:
             yield ctx.finding(
                 "parallel/direct-multiprocessing",
                 node,
-                f"import of {target}: worker lifecycles, shared-memory "
-                "ownership, and resource-tracker workarounds live in "
-                "repro.parallel; route process fan-out through its engine",
+                f"import of {target}: worker lifecycles and the "
+                "canonical-order merge live in repro.parallel; route "
+                "process fan-out through its engine",
             )
 
 

@@ -250,9 +250,7 @@ def _linkedin_batch_handler(interface):
     return handler
 
 
-def mount_suite_routes(transport: FakeTransport, suite: PlatformSuite) -> None:
-    """Register every platform endpoint on the transport."""
-    fb = suite.facebook
+def _mount_facebook(transport: FakeTransport, fb) -> None:
     plain_cost = _batch_cost("batch")
     transport.register(
         "POST", "/facebook/delivery_estimate",
@@ -281,28 +279,44 @@ def mount_suite_routes(transport: FakeTransport, suite: PlatformSuite) -> None:
         "GET", "/facebook/targeting_search", _facebook_search_handler(fb.normal)
     )
 
-    google_codec = GoogleWireCodec(suite.google.display.catalog.ids())
+
+def _mount_google(transport: FakeTransport, google) -> None:
+    codec = GoogleWireCodec(google.display.catalog.ids())
     transport.register(
         "POST", "/google/reach_estimate",
-        _google_estimate_handler(suite.google.display, google_codec),
+        _google_estimate_handler(google.display, codec),
     )
     transport.register(
         "POST", "/google/reach_estimates",
-        _google_batch_handler(suite.google.display, google_codec),
+        _google_batch_handler(google.display, codec),
         cost=_batch_cost(GoogleWireCodec.BATCH_FIELD),
     )
-    transport.register(
-        "GET", "/google/criteria", _catalog_handler(suite.google.display)
-    )
+    transport.register("GET", "/google/criteria", _catalog_handler(google.display))
 
+
+def _mount_linkedin(transport: FakeTransport, linkedin) -> None:
     transport.register(
         "POST", "/linkedin/audience_count",
-        _linkedin_count_handler(suite.linkedin.interface),
+        _linkedin_count_handler(linkedin.interface),
     )
     transport.register(
         "POST", "/linkedin/audience_counts",
-        _linkedin_batch_handler(suite.linkedin.interface), cost=plain_cost,
+        _linkedin_batch_handler(linkedin.interface),
+        cost=_batch_cost("batch"),
     )
     transport.register(
-        "GET", "/linkedin/facets", _catalog_handler(suite.linkedin.interface)
+        "GET", "/linkedin/facets", _catalog_handler(linkedin.interface)
     )
+
+
+_MOUNTS = {
+    "facebook": _mount_facebook,
+    "google": _mount_google,
+    "linkedin": _mount_linkedin,
+}
+
+
+def mount_suite_routes(transport: FakeTransport, suite: PlatformSuite) -> None:
+    """Register the endpoints of every platform the suite built."""
+    for name, platform in suite.platforms.items():
+        _MOUNTS[name](transport, platform)

@@ -42,6 +42,14 @@ from repro.population.demographics import (
 
 __all__ = ["AuditTarget", "build_audit_targets"]
 
+#: Interface key -> target name, in the paper's presentation order.
+_TARGET_NAMES = {
+    "facebook_restricted": "Facebook (restricted)",
+    "facebook": "Facebook",
+    "google": "Google",
+    "linkedin": "LinkedIn",
+}
+
 
 class AuditTarget:
     """One studied interface, ready to be audited.
@@ -126,40 +134,6 @@ class AuditTarget:
     ) -> None:
         if self._checkpoint is not None:
             self._checkpoint.record(interface_key, spec, estimate)
-
-    # -- cache-state transfer (parallel engine) -----------------------------
-
-    def export_cache_state(self) -> dict:
-        """Estimate cache plus hit/miss counters, in a picklable form.
-
-        The parallel engine ships this from worker targets back to the
-        parent, whose targets then hold exactly the estimates a
-        sequential run would have cached (each interface's queries run
-        in one worker, so shards never conflict).
-        """
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "shards": {
-                key: list(shard.items()) for key, shard in self._cache.items()
-            },
-        }
-
-    def absorb_cache_state(self, state: dict) -> None:
-        """Fold a worker target's exported cache into this target.
-
-        Estimates are recorded into any attached checkpoint as well, so
-        a parallel run persists the same entries a sequential run
-        would.  Overlapping entries must agree (same seed, same
-        platform); they are simply overwritten.
-        """
-        self.cache_hits += state["hits"]
-        self.cache_misses += state["misses"]
-        for interface_key, entries in state["shards"].items():
-            shard = self._cache.setdefault(interface_key, {})
-            for spec, estimate in entries:
-                shard[spec] = estimate
-                self._record_estimate(interface_key, spec, estimate)
 
     # -- catalog ------------------------------------------------------------
 
@@ -573,26 +547,22 @@ class AuditTarget:
 def build_audit_targets(
     clients: Mapping[str, ReachClient],
 ) -> dict[str, AuditTarget]:
-    """Audit targets for the four studied interfaces.
+    """Audit targets for the studied interfaces present in ``clients``.
 
     ``clients`` is the mapping produced by
-    :func:`repro.api.client.build_clients`.  The Facebook restricted
-    target measures demographics through the normal-interface client.
+    :func:`repro.api.client.build_clients`, possibly narrowed to the
+    platforms a session built.  The Facebook restricted target
+    measures demographics through the normal-interface client.
     """
     return {
-        "facebook_restricted": AuditTarget(
-            key="facebook_restricted",
-            name="Facebook (restricted)",
-            client=clients["facebook_restricted"],
-            measure_client=clients["facebook"],
-        ),
-        "facebook": AuditTarget(
-            key="facebook", name="Facebook", client=clients["facebook"]
-        ),
-        "google": AuditTarget(
-            key="google", name="Google", client=clients["google"]
-        ),
-        "linkedin": AuditTarget(
-            key="linkedin", name="LinkedIn", client=clients["linkedin"]
-        ),
+        key: AuditTarget(
+            key=key,
+            name=name,
+            client=clients[key],
+            measure_client=(
+                clients["facebook"] if key == "facebook_restricted" else None
+            ),
+        )
+        for key, name in _TARGET_NAMES.items()
+        if key in clients
     }

@@ -54,6 +54,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from repro.parallel.engine import resolve_jobs, run_parallel
+from repro.parallel.plan import build_plan
 
 __all__ = ["EXPERIMENTS", "RunReport", "run_all", "main"]
 
@@ -138,12 +139,15 @@ def run_all(
 
     ``chaos`` builds the session over a fault-injecting transport (by
     profile or name from :data:`FAULT_PROFILES`); ignored when an
-    explicit ``context`` is supplied.  ``checkpoint`` attaches an
-    estimate checkpoint (a store, or a path that is loaded if present)
-    to every audit target: completed size estimates persist even when
-    an experiment raises mid-run -- e.g. an exhausted circuit breaker
-    during an outage -- and a re-run with the same checkpoint resumes
-    without re-issuing them, producing bit-identical output.
+    explicit ``context`` is supplied.  Without an explicit ``context``
+    the session holds only the platforms the selected experiments
+    query (``--only fig1`` builds Facebook alone).  ``checkpoint``
+    attaches an estimate checkpoint (a store, or a path that is loaded
+    if present) to every audit target: completed size estimates
+    persist even when an experiment raises mid-run -- e.g. an
+    exhausted circuit breaker during an outage -- and a re-run with
+    the same checkpoint resumes without re-issuing them, producing
+    bit-identical output.
 
     ``jobs`` > 1 dispatches to :func:`repro.parallel.run_parallel`
     (``0`` means one worker per CPU); the report is bit-identical to a
@@ -191,19 +195,18 @@ def run_all(
             jobs=effective_jobs,
         )
 
-    if context is None and (
-        chaos is not None or tracer.enabled or metrics.enabled
-    ):
+    if context is None:
+        # Build only the platforms the selected experiments query.
         session = build_audit_session(
             n_records=config.n_records,
             seed=config.seed,
             chaos=chaos,
             chaos_seed=chaos_seed,
+            platforms=tuple(build_plan(names)),
             tracer=tracer,
             metrics=metrics,
         )
         context = ExperimentContext(config, session=session)
-    ctx = context or ExperimentContext(config)
 
     store: EstimateCheckpoint | None = None
     if checkpoint is not None:
@@ -212,7 +215,7 @@ def run_all(
             if isinstance(checkpoint, EstimateCheckpoint)
             else EstimateCheckpoint(checkpoint)
         )
-        for target in ctx.session.targets.values():
+        for target in context.session.targets.values():
             target.attach_checkpoint(store)
         if verbose and len(store):
             print(
@@ -221,7 +224,7 @@ def run_all(
                 flush=True,
             )
 
-    report = RunReport(config=ctx.config)
+    report = RunReport(config=context.config)
     # The audit heap is acyclic, so full collections over the caches
     # earlier experiments built reclaim nothing: freeze it at every
     # experiment boundary (DESIGN.md section 6).  A caller that froze
@@ -238,7 +241,7 @@ def run_all(
             with tracer.span(f"experiment.{name}"), metrics.scope(
                 experiment=name
             ):
-                report.results[name] = runner(ctx)
+                report.results[name] = runner(context)
             report.durations[name] = time.perf_counter() - started
     finally:
         # Persist whatever completed, even when an experiment raised --
@@ -255,7 +258,7 @@ def run_all(
         finally:
             if freeze:
                 gc.unfreeze()
-    report.total_api_requests = ctx.session.total_api_requests()
+    report.total_api_requests = context.session.total_api_requests()
     report.total_wall = time.perf_counter() - started_wall
     return report
 

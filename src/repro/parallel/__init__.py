@@ -1,8 +1,9 @@
 """Multi-process parallel audit engine.
 
-Shards experiment execution by interface group over shared-memory
-populations, merging results in canonical order so parallel runs are
-bit-identical to sequential ones.  See ``DESIGN.md`` section 10.
+Shards experiment execution by interface group -- one platform per
+group, which each worker builds from the seed -- and merges results in
+canonical order so parallel runs are bit-identical to sequential ones.
+See ``DESIGN.md`` section 10.
 """
 
 from __future__ import annotations
@@ -23,27 +24,17 @@ from repro.parallel.plan import (
     build_plan,
     derive_chaos_seed,
 )
-from repro.parallel.shm import (
-    ArraySpec,
-    PopulationManifest,
-    SharedAudienceIndex,
-    attach_population,
-)
 from repro.parallel.worker import ShardResult, run_shard
 
 __all__ = [
-    "ArraySpec",
     "Cell",
     "GROUPS",
     "GROUP_OF_INTERFACE",
     "INTERFACES_OF_GROUP",
     "ParallelRun",
     "ParallelRunError",
-    "PopulationManifest",
     "ShardResult",
     "ShardTask",
-    "SharedAudienceIndex",
-    "attach_population",
     "build_plan",
     "default_start_method",
     "derive_chaos_seed",

@@ -1,27 +1,19 @@
-"""Parallel orchestration: pool lifecycle, canonical merge, cleanup.
+"""Parallel orchestration: pool lifecycle, canonical merge.
 
 :func:`run_parallel` is the multi-process counterpart of the
 sequential loop in :mod:`repro.experiments.runner`:
 
-1. build the parent audit session once (fault-free -- the parent
-   issues no API requests of its own) and export its populations into
-   shared memory;
-2. dispatch one :class:`~repro.parallel.plan.ShardTask` per interface
-   group to a :class:`~concurrent.futures.ProcessPoolExecutor`;
-3. merge shard results in **canonical group order** -- never worker
-   completion order -- so audit records, per-interface query counts,
-   caches, and rendered experiment reports are bit-identical to a
-   sequential run regardless of scheduling;
-4. unlink every shared-memory block, save any checkpoint (including
-   the completed estimates of a shard that failed mid-run), and only
-   then re-raise the first shard error in canonical order.
-
-The merge folds every worker counter back into the parent session:
-transport route stats and virtual clock (advanced to the latest
-worker time), reach-client request counts, interface query/resolution
-counters, audit-target estimate caches, and the experiment context's
-composition-set caches -- after a parallel run the parent session is
-indistinguishable from one that did all the work itself.
+1. dispatch one :class:`~repro.parallel.plan.ShardTask` per interface
+   group to a :class:`~concurrent.futures.ProcessPoolExecutor`; each
+   worker builds its group's platform from the seed, so the parent
+   builds no session of its own;
+2. merge shard results in **canonical group order** -- never worker
+   completion order -- so audit records, per-interface query counts
+   and rendered experiment reports are bit-identical to a sequential
+   run regardless of scheduling;
+3. save any checkpoint (including the completed estimates of a shard
+   that failed mid-run), and only then re-raise the first shard error
+   in canonical order.
 """
 
 from __future__ import annotations
@@ -34,11 +26,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro import build_audit_session
 from repro.api.chaos import FAULT_PROFILES, FaultProfile
 from repro.core.checkpoint import EstimateCheckpoint
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.context import ExperimentContext
 from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.parallel.plan import (
     EXPERIMENT_MODULES,
@@ -47,7 +37,6 @@ from repro.parallel.plan import (
     ShardTask,
     build_plan,
 )
-from repro.parallel.shm import SharedAudienceIndex
 from repro.parallel.worker import ShardResult, run_shard
 
 __all__ = [
@@ -99,7 +88,6 @@ class ParallelRun:
     results: dict[str, Any] = field(default_factory=dict)
     durations: dict[str, float] = field(default_factory=dict)
     total_api_requests: int = 0
-    context: ExperimentContext | None = None
     shards: dict[str, ShardResult] = field(default_factory=dict)
 
 
@@ -135,14 +123,6 @@ def run_parallel(
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_METRICS
     profile = FAULT_PROFILES[chaos] if isinstance(chaos, str) else chaos
-    session = build_audit_session(
-        n_records=config.n_records,
-        seed=config.seed,
-        rate_limit=rate_limit,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    ctx = ExperimentContext(config, session=session)
 
     store: EstimateCheckpoint | None = None
     if checkpoint is not None:
@@ -151,88 +131,61 @@ def run_parallel(
             if isinstance(checkpoint, EstimateCheckpoint)
             else EstimateCheckpoint(checkpoint)
         )
-        # Attach before merging: absorbed worker estimates re-record
-        # into the store through the targets, exactly as local queries
-        # would have.
-        for target in session.targets.values():
-            target.attach_checkpoint(store)
 
     plan = build_plan(names)
+    tasks = [
+        ShardTask(
+            group=group,
+            cells=cells,
+            config=config,
+            rate_limit=rate_limit,
+            chaos=profile,
+            chaos_seed=chaos_seed,
+            trace=tracer.enabled,
+            collect_metrics=metrics.enabled,
+            checkpoint=(
+                {key: dict(store.shard(key)) for key in INTERFACES_OF_GROUP[group]}
+                if store is not None
+                else None
+            ),
+        )
+        for group, cells in plan.items()
+    ]
     shards: dict[str, ShardResult] = {}
     failures: dict[str, Exception] = {}
-    shared = SharedAudienceIndex()
-    try:
-        manifests = shared.export_suite(session.suite)
-        tasks = [
-            ShardTask(
-                group=group,
-                cells=cells,
-                config=config,
-                manifests=manifests,
-                model=session.suite.facebook.model,
-                rate_limit=rate_limit,
-                chaos=profile,
-                chaos_seed=chaos_seed,
-                trace=tracer.enabled,
-                collect_metrics=metrics.enabled,
-                checkpoint=(
-                    {
-                        key: dict(store.shard(key))
-                        for key in INTERFACES_OF_GROUP[group]
-                    }
-                    if store is not None
-                    else None
-                ),
-            )
-            for group, cells in plan.items()
-        ]
-        method = start_method or default_start_method()
-        max_workers = min(resolve_jobs(jobs), len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=mp.get_context(method)
-        ) as pool:
-            futures = {task.group: pool.submit(run_shard, task) for task in tasks}
-            for group in plan:
-                if verbose:
-                    print(
-                        f"waiting on shard {group} "
-                        f"({len(plan[group])} cells) ...",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                try:
-                    shards[group] = futures[group].result()
-                # A future only raises here when the worker process
-                # itself died (e.g. BrokenProcessPool); in-worker
-                # failures travel inside the ShardResult instead.
-                # Collect so surviving shards still merge and persist.
-                except Exception as exc:  # repro-lint: disable=errors/broad-except
-                    failures[group] = exc
-    finally:
-        shared.close()
+    method = start_method or default_start_method()
+    max_workers = min(resolve_jobs(jobs), len(tasks))
+    with ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=mp.get_context(method)
+    ) as pool:
+        futures = {task.group: pool.submit(run_shard, task) for task in tasks}
+        for group in plan:
+            if verbose:
+                print(
+                    f"waiting on shard {group} ({len(plan[group])} cells) ...",
+                    file=sys.stderr,
+                    flush=True,
+                )
+            try:
+                shards[group] = futures[group].result()
+            # A future only raises here when the worker process itself
+            # died (e.g. BrokenProcessPool); in-worker failures travel
+            # inside the ShardResult instead.  Collect so surviving
+            # shards still merge and persist.
+            except Exception as exc:  # repro-lint: disable=errors/broad-except
+                failures[group] = exc
 
-    run = ParallelRun(context=ctx, shards=shards)
+    run = ParallelRun(shards=shards)
     error: ParallelRunError | None = None
     # ``shards`` was filled by iterating the plan, so this merge loop
     # runs in canonical group order regardless of worker scheduling --
     # the property that makes the absorbed trace order-stable.
     with tracer.span("parallel.run", jobs=jobs, shards=len(shards)):
         for group, shard in shards.items():
-            session.transport.absorb_stats(shard.transport)
-            for key, count in shard.clients.items():
-                session.clients[key].request_count += count
-            for key, stats in shard.interfaces.items():
-                if key == "google_search":
-                    session.suite.google.search_campaign.absorb_stats(stats)
-                else:
-                    session.suite.interfaces[key].absorb_stats(stats)
-            for key in INTERFACES_OF_GROUP[group]:
-                session.targets[key].absorb_cache_state(shard.targets[key])
-            ctx.absorb_state(shard.context)
-            if shard.chaos is not None:
-                run.total_api_requests += shard.chaos["edge_requests"]
-            else:
-                run.total_api_requests += shard.transport["total_requests"]
+            run.total_api_requests += shard.requests
+            if store is not None:
+                for key, entries in shard.estimates.items():
+                    store.shard(key).update(entries)
             if shard.trace is not None and tracer.enabled:
                 tracer.absorb(shard.trace, f"shard:{group}")
             if shard.metrics is not None and metrics.enabled:

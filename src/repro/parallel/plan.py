@@ -9,6 +9,9 @@ counter bit-identical to a sequential run:
   reach client and therefore always travel together;
 * Google and LinkedIn each form their own group.
 
+A group is therefore exactly one platform, named like it, and a worker
+builds only that platform's session (``platforms=(group,)``).
+
 Each experiment module declares ``PARTS`` (its per-interface shard
 keys), ``run_part`` and ``merge_parts``; the plan assigns every
 ``(experiment, part)`` cell to its group, preserving experiment
@@ -45,9 +48,8 @@ from repro.experiments import (
     tables23_examples,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel.shm import PopulationManifest
+from repro.platforms import PLATFORMS
 from repro.platforms.targeting import TargetingSpec
-from repro.population.model import LatentFactorModel
 
 __all__ = [
     "GROUPS",
@@ -74,10 +76,10 @@ GROUP_OF_INTERFACE: Mapping[str, str] = MappingProxyType(
     }
 )
 
-#: Canonical shard-group order.  Merging follows this order, never
-#: worker completion order, which is what makes parallel output
-#: independent of scheduling.
-GROUPS: tuple[str, ...] = ("facebook", "google", "linkedin")
+#: Canonical shard-group order: the platforms, in suite order.  Merging
+#: follows this order, never worker completion order, which is what
+#: makes parallel output independent of scheduling.
+GROUPS: tuple[str, ...] = PLATFORMS
 
 #: Group -> the audit-target / client keys whose state it owns.
 INTERFACES_OF_GROUP: Mapping[str, tuple[str, ...]] = MappingProxyType(
@@ -148,17 +150,15 @@ def derive_chaos_seed(chaos_seed: int, group: str) -> int:
 class ShardTask:
     """Everything a worker needs to run one group's cells.
 
-    Picklable under both ``fork`` and ``spawn`` start methods: the
-    populations travel as shared-memory manifests, the latent-factor
-    model by value (it is a few hundred bytes), and checkpoint
-    pre-warm entries as plain spec/estimate mappings.
+    Picklable under both ``fork`` and ``spawn`` start methods.  No
+    population travels: the group name is the platform name, and the
+    worker builds that platform from ``config.seed``.  Checkpoint
+    pre-warm entries travel as plain spec/estimate mappings.
     """
 
     group: str
     cells: tuple[Cell, ...]
     config: ExperimentConfig
-    manifests: Mapping[str, PopulationManifest]
-    model: LatentFactorModel
     rate_limit: float | None = None
     chaos: FaultProfile | None = None
     chaos_seed: int = 1031

@@ -6,20 +6,21 @@ pool.  It is a plain top-level function taking one picklable
 :class:`ShardResult`, so it works identically under the ``fork`` and
 ``spawn`` start methods.
 
-A worker rebuilds its *own* full audit stack -- fake transport,
-virtual clock, reach clients, audit targets, experiment context --
-over populations rehydrated zero-copy from the parent's shared-memory
-blocks.  It then runs every cell of its group in experiment registry
-order, which makes per-interface cache evolution (estimate caches,
-interface memos, the pooled estimates the methodology study analyses)
-identical to a sequential run.  The result carries the per-part
-experiment outputs plus every counter and cache the parent must merge
-to stay indistinguishable from having done the work itself.
+A shard group is one platform, and each platform's population is
+seeded on its own (``seed``, ``seed + 1``, ``seed + 2``), so a worker
+builds its *own* audit session over just that platform, from the
+seed, exactly as the sequential run builds it.  It then runs every
+cell of its group in experiment registry order, which makes
+per-interface cache evolution (estimate caches, interface memos, the
+pooled estimates the methodology study analyses) identical to a
+sequential run.  The result carries only what a run reports: the
+per-part experiment outputs and timings, request and query counts,
+the estimates its checkpoint store collected, and trace / metrics
+exports.
 
 Errors follow the sequential contract: the first failing cell stops
-the shard, but everything completed before it -- results, caches,
-counters -- still ships back, so the parent can persist checkpoints
-before re-raising.
+the shard, but everything completed before it still ships back, so
+the parent can persist checkpoints before re-raising.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.core.checkpoint import EstimateCheckpoint
 from repro.experiments.context import ExperimentContext
 from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from repro.parallel.plan import EXPERIMENT_MODULES, ShardTask, derive_chaos_seed
-from repro.parallel.shm import attach_population
+from repro.platforms.targeting import TargetingSpec
 
 __all__ = ["ShardResult", "run_shard"]
 
@@ -49,18 +50,15 @@ class ShardResult:
     results: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: experiment name -> seconds this shard spent on it.
     durations: dict[str, float] = field(default_factory=dict)
-    #: Inner fake-transport counters (``FakeTransport.export_stats``).
-    transport: dict[str, Any] = field(default_factory=dict)
-    #: Chaos-edge summary (fault log and counts) when chaos was active.
+    #: Requests the shard's transport edge saw (retries included).
+    requests: int = 0
+    #: Interface key -> the audit target's query count.
+    query_counts: dict[str, int] = field(default_factory=dict)
+    #: Interface key -> estimates the shard's checkpoint store holds
+    #: (``None`` when the run has no checkpoint).
+    estimates: dict[str, dict[TargetingSpec, int]] | None = None
+    #: The injected-fault log when chaos was active.
     chaos: dict[str, Any] | None = None
-    #: Interface key -> reach-client request count.
-    clients: dict[str, int] = field(default_factory=dict)
-    #: Interface key -> interface counters (``export_stats``).
-    interfaces: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: Target key -> audit-target cache state (``export_cache_state``).
-    targets: dict[str, dict] = field(default_factory=dict)
-    #: Experiment-context composition-set caches (``export_state``).
-    context: dict[str, Any] = field(default_factory=dict)
     #: Formatted traceback of the first failing cell, if any.
     error: str | None = None
     #: ``(experiment, part)`` of the failing cell, if any.
@@ -72,11 +70,7 @@ class ShardResult:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """Run one group's cells and export all merge state."""
-    populations = {
-        name: attach_population(manifest, task.model)
-        for name, manifest in task.manifests.items()
-    }
+    """Build the group's platform, run its cells, report the outcome."""
     # A worker process is a composition root: it owns its tracer and
     # registry outright and ships only their exports back.
     tracer = NULL_TRACER
@@ -93,18 +87,18 @@ def run_shard(task: ShardTask) -> ShardResult:
         rate_limit=task.rate_limit,
         chaos=task.chaos,
         chaos_seed=derive_chaos_seed(task.chaos_seed, task.group),
-        populations=populations,
+        platforms=(task.group,),
         tracer=tracer,
         metrics=metrics,
     )
     ctx = ExperimentContext(task.config, session=session)
 
+    store: EstimateCheckpoint | None = None
     if task.checkpoint is not None:
         # In-memory resume pre-warm: the parent ships the loaded
         # checkpoint entries for this group's interfaces; attaching the
         # store pre-warms the target caches exactly as a sequential
-        # resume would.  Completed estimates flow back via the target
-        # cache export (the parent re-records them into its own store).
+        # resume would, and records every new estimate.
         store = EstimateCheckpoint()
         for key, entries in task.checkpoint.items():
             store.shard(key).update(entries)
@@ -133,32 +127,14 @@ def run_shard(task: ShardTask) -> ShardResult:
             )
         result.results.setdefault(cell.experiment, {})[cell.part] = part_result
 
-    transport = session.transport
-    if isinstance(transport, ChaosTransport):
-        result.chaos = {
-            "profile": transport.profile.name,
-            "seed": transport.seed,
-            "edge_requests": transport.total_requests,
-            "faults": dict(transport.faults),
-            "fault_log": list(transport.fault_log),
-        }
-        transport = transport.inner
-    result.transport = transport.export_stats()
-    result.clients = {
-        key: client.request_count for key, client in session.clients.items()
+    result.requests = session.total_api_requests()
+    result.query_counts = {
+        key: target.query_count for key, target in session.targets.items()
     }
-    result.interfaces = {
-        key: interface.export_stats()
-        for key, interface in session.suite.interfaces.items()
-    }
-    result.interfaces["google_search"] = (
-        session.suite.google.search_campaign.export_stats()
-    )
-    result.targets = {
-        key: target.export_cache_state()
-        for key, target in session.targets.items()
-    }
-    result.context = ctx.export_state()
+    if store is not None:
+        result.estimates = {key: store.shard(key) for key in task.checkpoint}
+    if isinstance(session.transport, ChaosTransport):
+        result.chaos = {"fault_log": list(session.transport.fault_log)}
     if task.trace:
         result.trace = tracer.export()
     if task.collect_metrics:

@@ -8,12 +8,13 @@ the substitution rationale.
 
 The convenience factory :func:`build_platform_suite` constructs the four
 interfaces the paper studies (Facebook restricted, Facebook normal,
-Google Display, LinkedIn) over consistently sized populations.
+Google Display, LinkedIn) over consistently sized populations, or the
+interfaces of any subset of the three platforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.platforms.audiences import (
     AudienceService,
@@ -90,6 +91,7 @@ __all__ = [
     "LinkedInPlatform",
     "LinkedInRounding",
     "MOST_RESTRICTIVE_CAP",
+    "PLATFORMS",
     "NoSizeEstimateError",
     "PlatformError",
     "PlatformSuite",
@@ -105,31 +107,70 @@ __all__ = [
 ]
 
 
-@dataclass
-class PlatformSuite:
-    """The four studied interfaces plus their owning platforms."""
+#: Platform names in canonical order, with each one's seed offset from
+#: the suite's root seed.  The offsets keep the populations independent,
+#: so any subset of platforms builds bit-identically to the full suite.
+PLATFORMS: tuple[str, ...] = ("facebook", "google", "linkedin")
+_FACTORIES = {
+    "facebook": (FacebookMarketingPlatform, 0),
+    "google": (GooglePlatform, 1),
+    "linkedin": (LinkedInPlatform, 2),
+}
 
-    facebook: FacebookMarketingPlatform
-    google: GooglePlatform
-    linkedin: LinkedInPlatform
+
+class PlatformSuite:
+    """The studied interfaces plus their owning platforms.
+
+    A suite holds the platforms it was built with (all three by
+    default); asking for one it was not built with raises
+    :class:`KeyError` rather than returning ``None``.
+    """
+
+    def __init__(self, platforms: Mapping[str, object]):
+        #: Platform name -> platform, in :data:`PLATFORMS` order.
+        self.platforms = dict(platforms)
+
+    def _platform(self, name: str):
+        try:
+            return self.platforms[name]
+        except KeyError:
+            raise KeyError(
+                f"platform {name!r} was not built in this suite "
+                f"(built: {', '.join(self.platforms) or 'none'})"
+            ) from None
+
+    @property
+    def facebook(self) -> FacebookMarketingPlatform:
+        return self._platform("facebook")
+
+    @property
+    def google(self) -> GooglePlatform:
+        return self._platform("google")
+
+    @property
+    def linkedin(self) -> LinkedInPlatform:
+        return self._platform("linkedin")
 
     @property
     def interfaces(self) -> dict[str, AdPlatformInterface]:
-        """All measurement interfaces keyed by registry key, in the
-        order the paper presents them (FB-restricted first)."""
-        return {
-            self.facebook.restricted.key: self.facebook.restricted,
-            self.facebook.normal.key: self.facebook.normal,
-            self.google.display.key: self.google.display,
-            self.linkedin.interface.key: self.linkedin.interface,
-        }
+        """The built measurement interfaces keyed by registry key, in
+        the order the paper presents them (FB-restricted first)."""
+        interfaces = {}
+        if "facebook" in self.platforms:
+            interfaces[self.facebook.restricted.key] = self.facebook.restricted
+            interfaces[self.facebook.normal.key] = self.facebook.normal
+        if "google" in self.platforms:
+            interfaces[self.google.display.key] = self.google.display
+        if "linkedin" in self.platforms:
+            interfaces[self.linkedin.interface.key] = self.linkedin.interface
+        return interfaces
 
     def total_query_count(self) -> int:
-        """Size queries issued across every interface."""
-        return sum(i.query_count for i in self.interfaces.values()) + sum(
-            i.query_count
-            for i in (self.google.search_campaign,)
-        )
+        """Size queries issued across every built interface."""
+        total = sum(i.query_count for i in self.interfaces.values())
+        if "google" in self.platforms:
+            total += self.google.search_campaign.query_count
+        return total
 
 
 def build_platform_suite(
@@ -137,9 +178,9 @@ def build_platform_suite(
     seed: int = 42,
     model: LatentFactorModel | None = None,
     rounding: RoundingPolicy | None = None,
-    populations: dict | None = None,
+    platforms: Iterable[str] = PLATFORMS,
 ) -> PlatformSuite:
-    """Build all simulated platforms over ``n_records``-sized populations.
+    """Build simulated platforms over ``n_records``-sized populations.
 
     Each platform draws an independent population (seeded off ``seed``)
     with its own calibration; all share one latent-factor ``model`` so
@@ -147,37 +188,24 @@ def build_platform_suite(
     ``rounding`` (e.g. :class:`ExactRounding`) to override every
     interface's rounding policy for ablations.
 
-    ``populations`` maps platform names (``"facebook"`` / ``"google"``
-    / ``"linkedin"``) to pre-realised
-    :class:`~repro.population.generator.Population` objects, skipping
-    the generation pass entirely -- the parallel engine's workers use
-    this to rehydrate suites from shared memory.  Supplied populations
-    must have been generated with the same ``seed``/``model`` so
-    derived state (PII audiences, later attribute realisations) stays
-    aligned.
+    ``platforms`` names the platforms to build (default: all of
+    :data:`PLATFORMS`).  A platform's population depends only on
+    ``seed`` and the model, so a suite of one platform -- what a
+    parallel worker builds -- matches that platform in the full suite.
     """
+    names = set(platforms)
+    unknown = names - set(PLATFORMS)
+    if unknown:
+        raise ValueError(f"unknown platforms: {sorted(unknown)}")
     model = model or default_model()
-    populations = populations or {}
-    return PlatformSuite(
-        facebook=FacebookMarketingPlatform(
-            n_records=n_records,
-            seed=seed,
-            model=model,
-            rounding=rounding,
-            population=populations.get("facebook"),
-        ),
-        google=GooglePlatform(
-            n_records=n_records,
-            seed=seed + 1,
-            model=model,
-            rounding=rounding,
-            population=populations.get("google"),
-        ),
-        linkedin=LinkedInPlatform(
-            n_records=n_records,
-            seed=seed + 2,
-            model=model,
-            rounding=rounding,
-            population=populations.get("linkedin"),
-        ),
-    )
+    built = {}
+    for name in PLATFORMS:
+        if name in names:
+            factory, offset = _FACTORIES[name]
+            built[name] = factory(
+                n_records=n_records,
+                seed=seed + offset,
+                model=model,
+                rounding=rounding,
+            )
+    return PlatformSuite(built)

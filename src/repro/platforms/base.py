@@ -292,28 +292,6 @@ class AdPlatformInterface(ABC):
             "entries": len(self._rule_memo),
         }
 
-    # -- stat merging (parallel engine) ----------------------------------
-
-    def export_stats(self) -> dict[str, int]:
-        """Additive counters of this interface, for cross-process merges."""
-        return {
-            "query_count": self.query_count,
-            "resolution_hits": self.resolution_hits,
-            "resolution_misses": self.resolution_misses,
-        }
-
-    def absorb_stats(self, stats: dict[str, int]) -> None:
-        """Fold a worker interface's exported counters into this one.
-
-        Query counts and memo hit/miss counters are additively
-        separable across process-disjoint workloads, so summing the
-        shards reproduces what one process doing all the work would
-        have counted.
-        """
-        self.query_count += stats["query_count"]
-        self.resolution_hits += stats["resolution_hits"]
-        self.resolution_misses += stats["resolution_misses"]
-
     def prime_counts(self, specs: Iterable[TargetingSpec]) -> None:
         """Vectorise the audience popcounts an incoming batch will need.
 

@@ -161,21 +161,18 @@ class FacebookMarketingPlatform:
         seed: int = 2020,
         model: LatentFactorModel | None = None,
         rounding: RoundingPolicy | None = None,
-        population: Population | None = None,
     ):
         calibration = get_calibration("facebook")
         self.model = model or default_model()
         self.build = build_facebook_universe(calibration, self.model)
-        if population is None:
-            generator = PopulationGenerator(
-                marginals=calibration.marginals,
-                model=self.model,
-                n_records=n_records,
-                scale=calibration.scale_for(n_records),
-                seed=seed,
-            )
-            population = generator.generate(self.build.specs)
-        self.population = population
+        generator = PopulationGenerator(
+            marginals=calibration.marginals,
+            model=self.model,
+            n_records=n_records,
+            scale=calibration.scale_for(n_records),
+            seed=seed,
+        )
+        self.population = generator.generate(self.build.specs)
         self.normal = FacebookNormalInterface(self.population, self.build, rounding)
         self.restricted = FacebookRestrictedInterface(
             self.population, self.build, rounding

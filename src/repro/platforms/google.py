@@ -238,21 +238,18 @@ class GooglePlatform:
         seed: int = 2021,
         model: LatentFactorModel | None = None,
         rounding: RoundingPolicy | None = None,
-        population: Population | None = None,
     ):
         calibration = get_calibration("google")
         self.model = model or default_model()
         self.build = build_google_universe(calibration, self.model)
-        if population is None:
-            generator = PopulationGenerator(
-                marginals=calibration.marginals,
-                model=self.model,
-                n_records=n_records,
-                scale=calibration.scale_for(n_records),
-                seed=seed,
-            )
-            population = generator.generate(self.build.specs)
-        self.population = population
+        generator = PopulationGenerator(
+            marginals=calibration.marginals,
+            model=self.model,
+            n_records=n_records,
+            scale=calibration.scale_for(n_records),
+            seed=seed,
+        )
+        self.population = generator.generate(self.build.specs)
         self.display = GoogleDisplayInterface(self.population, self.build, rounding)
         self.search_campaign = GoogleSearchCampaign(
             self.population, self.build, rounding

@@ -14,8 +14,7 @@ model over all users (:meth:`LatentFactorModel.spec_logits` and
 from the attribute's own ``(seed, crc32(attr_id))`` stream, and pack
 them into a bit vector.  Memory stays at a few float arrays per
 attribute plus two derived arrays per population (the gender-by-age
-cell codes and a contiguous ``latents.T``), built on first use so
-populations rehydrated from shared memory get them too.  The kernel
+cell codes and a contiguous ``latents.T``), built on first use.  The kernel
 only uses rewrites that are exact in IEEE arithmetic, and it does not
 batch attributes into one matrix product, whose different summation
 order would change last-ulp logits; memberships are therefore

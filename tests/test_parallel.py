@@ -1,12 +1,14 @@
-"""Parallel audit engine: bit-identity, shm lifecycle, chaos, resume.
+"""Parallel audit engine: bit-identity, worker death, chaos, resume.
 
-ISSUE acceptance for ``repro.parallel``: a ``--jobs 4`` run must
-produce bit-identical audit records, per-interface query counts, and
-rendered reports versus ``--jobs 1`` for every experiment in the
-registry (asserted here at small scale); shared-memory blocks must
-never leak, including when a worker process dies; per-shard chaos
-seeds must be deterministic and independent of the worker count; and
-a killed parallel run must resume from its checkpoint.
+A ``--jobs 4`` run must produce bit-identical audit records,
+per-interface query counts, and rendered reports versus ``--jobs 1``
+for every experiment in the registry (asserted here at small scale);
+a dead worker process must surface without losing the surviving
+shards' checkpointed estimates; per-shard chaos seeds must be
+deterministic and independent of the worker count; a killed parallel
+run must resume from its checkpoint; and output must not depend on
+the hash seed or the multiprocessing start method, since every worker
+rebuilds its platform from the seed in its own interpreter.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import re
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,16 +28,19 @@ from repro.api.chaos import FAULT_PROFILES
 from repro.core.checkpoint import EstimateCheckpoint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.experiments.runner import EXPERIMENTS, RunReport, run_all
 from repro.parallel import (
     GROUPS,
+    INTERFACES_OF_GROUP,
     ParallelRunError,
-    SharedAudienceIndex,
     build_plan,
     derive_chaos_seed,
     resolve_jobs,
     run_parallel,
+    run_shard,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Small-scale config keeping the all-registry fixture pair fast while
 #: still driving every experiment through real composition discovery.
@@ -61,10 +70,6 @@ ALL_NAMES = list(EXPERIMENTS)
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
 
-def shm_segments() -> set[str]:
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-
-
 def normalize_report(text: str) -> str:
     """Strip the wall-clock parts of a rendered RunReport."""
     text = re.sub(r"\(\d+\.\d+s\)", "(Xs)", text)
@@ -82,11 +87,7 @@ def sequential_run():
 @pytest.fixture(scope="module")
 def parallel_run():
     """All-registry jobs=4 run (engine caps workers at the 3 groups)."""
-    before = shm_segments()
-    run = run_parallel(CONFIG, ALL_NAMES, jobs=4)
-    leaked = shm_segments() - before
-    assert not leaked, f"leaked shared-memory blocks: {leaked}"
-    return run
+    return run_parallel(CONFIG, ALL_NAMES, jobs=4)
 
 
 class TestBitIdentity:
@@ -106,8 +107,9 @@ class TestBitIdentity:
             for key, target in ctx.session.targets.items()
         }
         parallel = {
-            key: target.query_count
-            for key, target in parallel_run.context.session.targets.items()
+            key: count
+            for shard in parallel_run.shards.values()
+            for key, count in shard.query_counts.items()
         }
         assert parallel == sequential
 
@@ -117,21 +119,6 @@ class TestBitIdentity:
             parallel_run.total_api_requests
             == ctx.session.total_api_requests()
         )
-
-    def test_transport_stats_merge_back(self, sequential_run, parallel_run):
-        ctx, _ = sequential_run
-        assert (
-            parallel_run.context.session.transport.stats()
-            == ctx.session.transport.stats()
-        )
-
-    def test_interface_counters_merge_back(
-        self, sequential_run, parallel_run
-    ):
-        ctx, _ = sequential_run
-        for key, interface in ctx.session.suite.interfaces.items():
-            merged = parallel_run.context.session.suite.interfaces[key]
-            assert merged.export_stats() == interface.export_stats(), key
 
 
 class TestRunnerIntegration:
@@ -226,13 +213,10 @@ class TestCheckpointResume:
 
         path = tmp_path / "parallel.ckpt.json"
         outage = FAULT_PROFILES["calm"].with_overrides(outage_after=6)
-        before = shm_segments()
         with pytest.raises(ParallelRunError) as info:
             run_parallel(TINY, names, jobs=3, chaos=outage, checkpoint=path)
-        # The worker's traceback travelled across the process boundary,
-        # and the failed run unlinked its shared-memory blocks.
+        # The worker's traceback travelled across the process boundary.
         assert "Traceback" in str(info.value)
-        assert not (shm_segments() - before)
 
         assert path.exists()
         killed = EstimateCheckpoint(path)
@@ -245,42 +229,81 @@ class TestCheckpointResume:
         )
 
 
-class TestShmLifecycle:
-    def test_export_close_unlinks_all_blocks(self):
-        from repro import build_audit_session
+def _die_in_linkedin_shard(task):
+    """Shard entry point whose LinkedIn worker process dies outright.
 
-        session = build_audit_session(n_records=1_000, seed=3)
-        before = shm_segments()
-        shared = SharedAudienceIndex()
-        shared.export_suite(session.suite)
-        created = shm_segments() - before
-        assert len(created) == 3
-        shared.close()
-        assert not (shm_segments() & created)
-        shared.close()  # idempotent
+    Module level so the pool can pickle it by reference; fork workers
+    inherit this module.
+    """
+    if task.group == "linkedin":
+        os._exit(13)
+    return run_shard(task)
 
+
+class TestWorkerDeath:
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    def test_dead_worker_process_does_not_leak_blocks(self, monkeypatch):
+    def test_dead_worker_surfaces_and_survivors_are_saved(
+        self, monkeypatch, tmp_path
+    ):
         import repro.parallel.engine as engine_module
 
-        def crash(task):  # inherited by fork workers
-            os._exit(13)
+        names = ["fig2"]
+        reference = EstimateCheckpoint(tmp_path / "sequential.ckpt.json")
+        run_all(config=TINY, only=names, checkpoint=reference)
 
-        monkeypatch.setattr(engine_module, "run_shard", crash)
-        before = shm_segments()
-        with pytest.raises(Exception, match="process|terminated|abruptly"):
-            run_parallel(TINY, ["fig1"], jobs=2, start_method="fork")
-        assert not (shm_segments() - before)
+        monkeypatch.setattr(engine_module, "run_shard", _die_in_linkedin_shard)
+        path = tmp_path / "parallel.ckpt.json"
+        # One worker runs the shards in plan order, so Facebook and
+        # Google complete before the LinkedIn shard kills the process.
+        with pytest.raises(BrokenProcessPool, match="terminated abruptly"):
+            run_parallel(
+                TINY, names, jobs=1, start_method="fork", checkpoint=path
+            )
+
+        saved = EstimateCheckpoint(path)
+        for group in ("facebook", "google"):
+            keys = INTERFACES_OF_GROUP[group]
+            assert any(saved.shard(key) for key in keys), group
+            for key in keys:
+                assert saved.shard(key) == reference.shard(key), key
+        assert reference.shard("linkedin")
+        assert not saved.shard("linkedin")
 
 
-@pytest.mark.slow
-class TestSpawnStartMethod:
-    """Spawn pays a full interpreter boot per worker; tier-2 only."""
+def _render_cli(hash_seed: str) -> str:
+    """Every experiment at ``--scale tiny --records 2000`` in a fresh
+    interpreter under ``PYTHONHASHSEED=hash_seed``."""
+    pythonpath = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner",
+         "--scale", "tiny", "--records", "2000"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
 
-    def test_spawn_matches_sequential(self):
-        run = run_parallel(TINY, ["fig1"], jobs=2, start_method="spawn")
-        sequential = run_all(config=TINY, only=["fig1"])
-        assert (
-            run.results["fig1"].render()
-            == sequential.results["fig1"].render()
-        )
+
+class TestCrossProcessDeterminism:
+    def test_hash_seeds_and_spawn_workers_render_identically(self):
+        """String hashing is salted per process, and spawned workers
+        build their platforms from the seed in fresh interpreters; no
+        output may depend on either."""
+        config = ExperimentConfig.tiny().with_records(2_000)
+        run = run_parallel(config, ALL_NAMES, jobs=2, start_method="spawn")
+        spawned = RunReport(
+            config=config,
+            results=run.results,
+            durations=run.durations,
+            total_api_requests=run.total_api_requests,
+            jobs=2,
+        ).render()
+        first = normalize_report(_render_cli("0"))
+        assert "Total simulated API requests" in first
+        assert all(f"== {name}: " in first for name in ALL_NAMES)
+        assert normalize_report(_render_cli("1")) == first
+        assert normalize_report(spawned + "\n") == first

@@ -245,3 +245,59 @@ class TestLinkedIn:
         # AND of many unrelated attributes -> empty audience -> 0 (below 300).
         spec = TargetingSpec.of(*ids[:6])
         assert li.estimate_reach(spec).estimate == 0
+
+
+class TestPlatformSubsets:
+    """``platforms=``: build only some platforms, bit-identically."""
+
+    def test_single_platform_suite_matches_full_suite(self):
+        from repro.platforms import build_platform_suite
+
+        full = build_platform_suite(n_records=2_000, seed=3)
+        for name in ("facebook", "google", "linkedin"):
+            alone = build_platform_suite(
+                n_records=2_000, seed=3, platforms=(name,)
+            )
+            assert list(alone.platforms) == [name]
+            ours = alone.platforms[name].population.index
+            theirs = full.platforms[name].population.index
+            assert list(ours) == list(theirs)
+            for attr_id in theirs:
+                assert ours.attribute(attr_id) == theirs.attribute(attr_id)
+
+    def test_missing_platform_fails_loudly(self):
+        from repro.platforms import build_platform_suite
+
+        suite = build_platform_suite(n_records=1_000, platforms=("linkedin",))
+        with pytest.raises(KeyError, match="'google' was not built"):
+            suite.google
+        assert list(suite.interfaces) == ["linkedin"]
+        assert suite.total_query_count() == 0
+        with pytest.raises(ValueError, match="unknown platforms"):
+            build_platform_suite(n_records=1_000, platforms=("myspace",))
+
+    def test_session_mounts_only_built_platforms(self):
+        from repro import build_audit_session
+
+        session = build_audit_session(n_records=1_000, platforms=("google",))
+        assert session.target_order == ["google"]
+        assert list(session.clients) == ["google"]
+        routes = session.transport.stats()
+        assert routes and all(" /google/" in route for route in routes)
+
+    def test_run_all_builds_only_the_platforms_it_queries(self, monkeypatch):
+        import repro.experiments.runner as runner
+        from repro.experiments.config import ExperimentConfig
+
+        built = []
+        real = runner.build_audit_session
+
+        def spy(**kwargs):
+            built.append(kwargs["platforms"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(runner, "build_audit_session", spy)
+        config = ExperimentConfig.tiny().with_records(1_000)
+        report = runner.run_all(config=config, only=["fig1"])
+        assert "fig1" in report.results
+        assert built == [("facebook",)]
